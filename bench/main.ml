@@ -14,9 +14,9 @@
    paper itself contains no performance numbers, so these series document
    the cost of each reproduction algorithm (closure, decomposition,
    complementation, translation, model checking) and of the two ablations
-   called out in DESIGN.md §5. The PARALLEL group times the four
-   Pool-parallelized paths (engine, registry compilation, rank-based
-   complementation, theorem sweep) at 1/2/4 domains on identical inputs;
+   called out in DESIGN.md §5. The PARALLEL group times the one
+   Pool-parallelized path (registry compilation) at 1/2/4 domains on
+   identical inputs;
    the CACHE group times the 100-property fleet compile cold (empty
    cache, every probe misses and stores) vs warm (prewarmed cache, every
    probe hits and deserializes); the SESSION group times snapshot
@@ -30,7 +30,7 @@
    [bench json] additionally writes the estimates to BENCH_PR10.json
    together with automaton-size counters, speedups against the seed,
    ratios against the most recent tracked BENCH_PR*.json for every bench
-   name the two runs share, the parallel scaling curves, the cold/warm
+   name the two runs share, the parallel scaling curve, the cold/warm
    cache comparison, and per-group
    Sl_obs span summaries from one instrumented pass over representative
    inputs: this is the perf trajectory future PRs regress against (see
@@ -233,26 +233,14 @@ let monitor_engine =
     ~monitors:(Sl_runtime.Registry.monitors monitor_registry)
     ()
 
-(* PARALLEL fixtures: the same 100-monitor fleet fed 10k events spread
-   round-robin over 16 concurrent traces (single-trace feeds cannot
-   shard — trace id is the unit of parallelism), one pre-built engine
-   per pool width so the series time stepping, not engine setup. The
-   jobs ladder is shared by all four parallelized paths. *)
+(* PARALLEL fixture: the jobs ladder registry compilation is timed at.
+   The SESSION and SERVE fixtures feed the same 100-monitor fleet 10k
+   events spread round-robin over 16 concurrent traces. *)
 let parallel_jobs_ladder = [ 1; 2; 4 ]
 
 let multi_trace_ids = Array.init 10_000 (fun i -> i mod 16)
 
-let monitor_engines_by_jobs =
-  List.map
-    (fun jobs ->
-      ( jobs,
-        Sl_runtime.Engine.create ~jobs
-          ~monitors:(Sl_runtime.Registry.monitors monitor_registry)
-          () ))
-    parallel_jobs_ladder
-
 let fleet_named_props = List.map (fun f -> (None, f)) monitor_fleet_props
-let complement_input = Lexamples.automaton (Formula.parse_exn "F a")
 
 (* Disabled-kernel probes for the OBS overhead budget (DESIGN.md §6.8):
    these time the dark-mode cost of an instrumented call site — one
@@ -315,7 +303,7 @@ let ensure_dir dir =
   end
 
 let session_fresh () =
-  let s = Sl_runtime.Session.create ~jobs:1 ~registry:monitor_registry () in
+  let s = Sl_runtime.Session.create ~registry:monitor_registry () in
   (* the 16 concurrent trace ids of the PARALLEL fixture, interned in
      the order the stream first sees them *)
   for i = 0 to 15 do
@@ -616,29 +604,16 @@ let make_tests () =
             Ops.intersect_full (fst lockstep_pair) (snd lockstep_pair)) ];
       [ t "buchi/rank-complement-3-seedref" (fun () ->
             Complement.rank_based_ref (random_automaton 3)) ];
-      (* PARALLEL: the four Pool-parallelized hot paths at every rung of
-         the jobs ladder, identical inputs per rung — the scaling curves
-         the JSON trajectory records. On a 1-core container the curves
-         are flat-to-inverted (domains time-slice one CPU); the series
-         still pin the parallel paths' overhead and feed the
-         byte-identity cross-checks in CI. *)
-      List.concat_map
+      (* PARALLEL: the one Pool-parallelized path, registry compilation,
+         at every rung of the jobs ladder on identical inputs — the
+         scaling curve the JSON trajectory records. On a 1-core host the
+         curve is flat-to-inverted (domains time-slice one CPU). *)
+      List.map
         (fun jobs ->
-          let eng = List.assoc jobs monitor_engines_by_jobs in
-          [ t (Printf.sprintf "parallel/engine-100x10k-16tr/j%d" jobs)
-              (fun () ->
-                Sl_runtime.Engine.reset eng;
-                Sl_runtime.Engine.feed eng ~n:10_000
-                  ~traces:multi_trace_ids ~symbols:monitor_trace_syms ());
-            t (Printf.sprintf "parallel/registry-compile-100/j%d" jobs)
-              (fun () ->
-                let r = Sl_runtime.Registry.create ~alphabet:2 () in
-                Sl_runtime.Registry.compile_all ~jobs r fleet_named_props);
-            t (Printf.sprintf "parallel/rank-complement-Fa/j%d" jobs)
-              (fun () -> Complement.rank_based ~jobs complement_input);
-            t (Printf.sprintf "parallel/theorems-bool3/j%d" jobs)
-              (fun () ->
-                Finite_check.check_all_closures ~jobs (Named.boolean 3)) ])
+          t (Printf.sprintf "parallel/registry-compile-100/j%d" jobs)
+            (fun () ->
+              let r = Sl_runtime.Registry.create ~alphabet:2 () in
+              Sl_runtime.Registry.compile_all ~jobs r fleet_named_props))
         parallel_jobs_ladder;
       (* CACHE: the 100-property fleet compile with an empty vs a
          prewarmed compile cache — the PR 6 acceptance pair (warm must
@@ -659,16 +634,14 @@ let make_tests () =
                ~path:snap_path));
         t "session/restore" (fun () ->
             match
-              Sl_runtime.Session.of_artifact ~jobs:1
-                ~registry:monitor_registry
+              Sl_runtime.Session.of_artifact ~registry:monitor_registry
                 (Lazy.force session_snapshot_blob)
             with
             | Ok s -> s
             | Error _ -> failwith "bench snapshot failed to restore");
         t "session/resume-feed-5k" (fun () ->
             match
-              Sl_runtime.Session.of_artifact ~jobs:1
-                ~registry:monitor_registry
+              Sl_runtime.Session.of_artifact ~registry:monitor_registry
                 (Lazy.force session_snapshot_blob)
             with
             | Ok s ->
@@ -1064,13 +1037,10 @@ let run_benchmarks_json ~path =
             | _ -> None)
           estimates
   in
-  (* Parallel scaling curves: for every PARALLEL base name, the ns at
-     each rung of the jobs ladder plus the j1-relative speedups. *)
+  (* Parallel scaling curve: for the PARALLEL base name, the ns at each
+     rung of the jobs ladder plus the j1-relative speedups. *)
   let scaling =
-    let bases =
-      [ "parallel/engine-100x10k-16tr"; "parallel/registry-compile-100";
-        "parallel/rank-complement-Fa"; "parallel/theorems-bool3" ]
-    in
+    let bases = [ "parallel/registry-compile-100" ] in
     List.filter_map
       (fun base ->
         let at j = lookup (Printf.sprintf "%s/j%d" base j) in

@@ -36,10 +36,10 @@ module Pool = Sl_core.Pool
 
 let jobs_arg =
   let doc =
-    "Domains for the parallel execution kernel: the engine, registry \
-     compilation, complementation and the theorem sweeps fan out over \
-     $(docv) domains. Output is byte-identical at every value. Defaults \
-     to the $(b,SLC_JOBS) environment variable, else 1."
+    "Domains for registry compilation: property translation and \
+     packing fan out over $(docv) domains. Output is byte-identical at \
+     every value. Defaults to the $(b,SLC_JOBS) environment variable, \
+     else 1."
   in
   Arg.(
     value
@@ -769,8 +769,6 @@ let serve_cmd =
         Sl_serve.Loop.props_file = props;
         unix_socket = socket;
         tcp_port = port;
-        jobs = None (* the -j obs wrapper already set the pool default *);
-        threshold = None;
         snapshot;
         resume;
         max_line;
@@ -782,7 +780,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the monitoring daemon: many concurrent client streams \
-          multiplexed onto one sharded engine, incremental NDJSON \
+          multiplexed onto one engine, incremental NDJSON \
           verdicts, SIGHUP hot reload, snapshot/resume lifecycle")
     (obs_term
        Term.(

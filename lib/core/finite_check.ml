@@ -42,8 +42,8 @@ let check_hypotheses_fresh ~need_distributive l =
    exhaustive sweeps and benches re-verify the same lattice once per
    closure (resp. per pair), so verdicts are memoized by physical
    identity. Each memo is an immutable assoc list behind an [Atomic]:
-   domains fanned out by [check_all_closures] race only to duplicate a
-   pure computation, never to observe a torn table. The cap keeps
+   callers on different domains race only to duplicate a pure
+   computation, never to observe a torn table. The cap keeps
    throwaway lattices from property tests from growing it unboundedly. *)
 let memo_cap = 16
 
@@ -240,15 +240,7 @@ let check_theorem8 l ~cl1 ~cl2 =
             failf "theorem 8 violated at q=%d, r=%d: %s" q r what
       end
 
-(* The exhaustive sweep quantifies over every closure operator (and
-   every ordered pair of them) — independent pure checks, so they fan
-   out across a domain pool: one order-preserving [map_reduce] over the
-   closures, one over the pair index space. Each map returns that
-   (closure | pair)'s failures in the sequential code's emission order
-   and the reduce is list append folded in index order, so the report
-   list is byte-identical at every [jobs]. *)
-let check_all_closures ?jobs ?(threshold = 8) l =
-  let pool = Pool.create ?jobs () in
+let check_all_closures l =
   let closures = Array.of_list (Closure.all l) in
   let nc = Array.length closures in
   let distributive = Lattice.is_distributive l in
@@ -274,8 +266,8 @@ let check_all_closures ?jobs ?(threshold = 8) l =
       @ note (Printf.sprintf "thm5[cl%d<=cl%d]" i j) (check_theorem5 l ~cl1 ~cl2)
   in
   let failures =
-    Pool.map_reduce ~threshold pool ~n:nc ~map:single ~reduce:( @ ) []
-    @ Pool.map_reduce ~threshold pool ~n:(nc * nc) ~map:pair ~reduce:( @ ) []
+    List.concat_map single (List.init nc Fun.id)
+    @ List.concat_map pair (List.init (nc * nc) Fun.id)
   in
   match failures with [] -> [ ("all", Ok ()) ] | fs -> fs
 

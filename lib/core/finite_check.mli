@@ -49,18 +49,14 @@ val check_theorem8 : Lattice.t -> cl1:Closure.t -> cl2:Closure.t -> report
     [r <= p v b] for every complement [b] of [cl1 p]. Exhaustive over all
     [(q, r)] pairs. *)
 
-val check_all_closures :
-  ?jobs:int -> ?threshold:int -> Lattice.t -> (string * report) list
+val check_all_closures : Lattice.t -> (string * report) list
 (** Runs Theorems 2, 6 (and 7 when distributive) for {e every} closure
     operator of the lattice, and Theorems 3, 5 for every pointwise-ordered
     pair of closures. Returns one labeled report per (theorem, closure)
     combination that fails, or a single [("all", Ok ())]. Exponential —
-    meant for {!Sl_lattice.Named.all_small}. The per-closure and per-pair
-    checks (pure) fan out over a {!Pool} of [jobs] domains (default
-    {!Pool.default_jobs}) with an order-preserving reduce, so the report
-    list is identical at every [jobs]. [threshold] (default [8]) is the
-    {!Pool.parallel_for} work-size cutoff: sweeps over fewer closures
-    (resp. pairs) than that run sequentially even on a wide pool. *)
+    meant for {!Sl_lattice.Named.all_small}. Failures are listed
+    per-closure checks first (closure order), then per-pair checks
+    (pairs in row-major order). *)
 
 (** {1 The paper's counterexamples} *)
 

@@ -3,13 +3,13 @@
 
     A pool is a parallelism budget: [jobs] domains cooperate on each
     parallel region, claiming contiguous index chunks through a shared
-    atomic cursor. The degenerate pool ([jobs = 1]) compiles every
-    combinator to the plain sequential loop — no atomics, no domains,
+    atomic cursor. The degenerate pool ([jobs = 1]) compiles
+    {!parallel_for} to the plain sequential loop — no atomics, no domains,
     no allocation beyond the caller's own — so sequential runs are
-    bit-for-bit the code that ran before the pool existed. All
-    parallel callers in the tree are written so their observable
-    results are byte-identical at every [jobs] (see DESIGN.md §6.9 for
-    the per-call-site determinism argument).
+    bit-for-bit the code that ran before the pool existed. The one
+    caller in the tree, [Registry.compile_all], is written so its
+    observable results are byte-identical at every [jobs] (see
+    DESIGN.md §6.9 for the determinism argument).
 
     Regions do not nest: a worker body that starts another parallel
     region raises (a [jobs = 1] region inside a worker is fine — it is
@@ -30,43 +30,19 @@ val jobs : t -> int
 val default_jobs : unit -> int
 (** The process-wide default parallelism, [1] unless overridden — at
     startup by the [SLC_JOBS] environment variable, later by
-    {!set_default_jobs} (the CLI's [-j]). Every parallelized API in
-    the tree defaults to a pool of this size. *)
+    {!set_default_jobs} (the CLI's [-j]). Registry compilation
+    defaults to a pool of this size. *)
 
 val set_default_jobs : int -> unit
 (** @raise Invalid_argument if [jobs < 1]. *)
 
-val parallel_for :
-  ?chunk:int -> ?threshold:int -> t -> n:int -> (int -> unit) -> unit
+val parallel_for : ?chunk:int -> t -> n:int -> (int -> unit) -> unit
 (** [parallel_for pool ~n f] runs [f i] for every [0 <= i < n], each
     index exactly once. Workers claim chunks of [chunk] consecutive
     indices (default: [n] split in about four chunks per domain) via
     an atomic cursor, so the assignment of indices to domains is
     load-balanced and non-deterministic — the body must not depend on
-    it. With [jobs pool = 1] this is exactly
-    [for i = 0 to n - 1 do f i done].
-
-    [threshold] is the work-size cutoff: when [n < threshold] the
-    region runs that same exact sequential loop even on a multi-domain
-    pool, because spawning [jobs - 1] domains costs on the order of
-    100µs and tiny regions lose more to the spawn than they gain from
-    the split. Default [2] (only skips the degenerate single-element
-    region); call sites pass cutoffs calibrated to their per-element
-    cost. Since the sequential loop and the parallel region are
-    observably equivalent by the determinism contract, [threshold]
-    never changes results — only where the time goes.
-    @raise Invalid_argument on [chunk < 1], [threshold < 0] or nested
-    use. *)
-
-val map_reduce :
-  ?chunk:int -> ?threshold:int -> t -> n:int -> map:(int -> 'a) ->
-  reduce:('a -> 'a -> 'a) -> 'a -> 'a
-(** [map_reduce pool ~n ~map ~reduce init] is
-    [init ⊕ map 0 ⊕ map 1 ⊕ ... ⊕ map (n-1)] with [⊕ = reduce] —
-    order-preserving: the maps run in parallel, the fold is sequential
-    in index order, so [reduce] need not be commutative and the result
-    is identical at every [jobs]. With [jobs pool = 1] this is the
-    plain left fold, mapping and reducing each index before the next
-    (no intermediate results array). [threshold] as in
-    {!parallel_for}: below the cutoff the plain left fold runs
-    regardless of pool width. *)
+    it. With [jobs pool = 1], or [n = 1], this is exactly
+    [for i = 0 to n - 1 do f i done]; callers apply their own
+    work-size cutoff before entering a region.
+    @raise Invalid_argument on [chunk < 1] or nested use. *)

@@ -242,7 +242,7 @@ let compile_all ?jobs ?(threshold = 4) t named =
    file/line position and skipped — one bad property must not abort the
    whole monitoring run (the CLI turns a non-empty error list into a
    nonzero exit code). *)
-let load_lines t ?(path = "<props>") ?jobs lines =
+let load_lines t ?(path = "<props>") lines =
   let errors = ref [] in
   let items = ref [] in
   List.iteri
@@ -257,14 +257,14 @@ let load_lines t ?(path = "<props>") ?jobs lines =
                 (i + 1) e
               :: !errors)
     lines;
-  ignore (compile_all ?jobs t (List.rev !items));
+  ignore (compile_all t (List.rev !items));
   List.rev !errors
 
-let load_channel t ?path ?jobs ic =
+let load_channel t ?path ic =
   let lines = ref [] in
   (try
      while true do
        lines := input_line ic :: !lines
      done
    with End_of_file -> ());
-  load_lines t ?path ?jobs (List.rev !lines)
+  load_lines t ?path (List.rev !lines)

@@ -48,14 +48,14 @@ val compile_all :
     translating and publishes on a miss — on the workers, so cache
     I/O parallelizes with the compiles. *)
 
-val load_lines : t -> ?path:string -> ?jobs:int -> string list -> string list
+val load_lines : t -> ?path:string -> string list -> string list
 (** Load a property file given as lines: one LTL formula per line, blank
     lines and ['#'] comments skipped. Returns human-readable
     ["path:line: parse error: ..."] messages for malformed lines, which
     are skipped rather than aborting the load. Well-formed lines are
-    compiled through {!compile_all} with [jobs] domains. *)
+    compiled through {!compile_all} at the default pool width. *)
 
-val load_channel : t -> ?path:string -> ?jobs:int -> in_channel -> string list
+val load_channel : t -> ?path:string -> in_channel -> string list
 (** {!load_lines} over a channel read to end-of-file. *)
 
 val alphabet : t -> int

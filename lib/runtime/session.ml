@@ -23,10 +23,10 @@ type restore_error =
   | Fingerprint_mismatch of { snapshot : string; registry : string }
   | Corrupt of string
 
-let create ?jobs ?threshold ~registry () =
+let create ~registry () =
   let plan = Engine.plan_of_monitors (Registry.monitors registry) in
   { registry;
-    engine = Engine.of_plan ?jobs ?threshold plan;
+    engine = Engine.of_plan plan;
     ingest = Ingest.create () }
 
 let registry t = t.registry
@@ -70,7 +70,7 @@ let to_artifact t =
   done;
   Wire.to_artifact ~kind:Wire.kind_session w
 
-let of_artifact ?jobs ?threshold ~registry blob =
+let of_artifact ~registry blob =
   match
     let r = Wire.of_artifact_kind ~kind:Wire.kind_session blob in
     let snap_fp = Wire.get_string r in
@@ -99,7 +99,7 @@ let of_artifact ?jobs ?threshold ~registry blob =
       if ntr < 0 || ntr > nnames then
         raise (Wire.Corrupt (Printf.sprintf "bad trace count %d" ntr));
       let plan = Engine.plan_of_monitors (Registry.monitors registry) in
-      let engine = Engine.of_plan ?jobs ?threshold plan in
+      let engine = Engine.of_plan plan in
       let sum = ref 0 in
       for id = 0 to ntr - 1 do
         if Wire.get_bool r then begin
@@ -159,7 +159,7 @@ let save t ~path =
       Obs.Span.attr sp "events" (Engine.events t.engine);
       Obs.Span.exit sp
 
-let load ?jobs ?threshold ~registry ~path () =
+let load ~registry ~path () =
   let sp = Obs.Span.enter "session.restore" in
   let result =
     match
@@ -172,7 +172,7 @@ let load ?jobs ?threshold ~registry ~path () =
     | exception Sys_error msg ->
         Error (Corrupt (Printf.sprintf "cannot read snapshot: %s" msg))
     | exception End_of_file -> Error (Corrupt "snapshot truncated while reading")
-    | blob -> of_artifact ?jobs ?threshold ~registry blob
+    | blob -> of_artifact ~registry blob
   in
   (match result with
   | Ok t ->

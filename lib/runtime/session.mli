@@ -11,8 +11,8 @@
     was saved.
 
     The contract is byte-identical continuation: feeding a stream's
-    first [k] events, snapshotting, restoring in another process (any
-    [jobs], cold or cache-warmed registry), and feeding the rest yields
+    first [k] events, snapshotting, restoring in another process (cold
+    or cache-warmed registry), and feeding the rest yields
     exactly the verdicts, bad-prefix positions and counters of the
     uninterrupted run, for every [k]. *)
 
@@ -29,10 +29,9 @@ type restore_error =
           counts, states outside a monitor's range, inconsistent
           counters, unreadable file. *)
 
-val create : ?jobs:int -> ?threshold:int -> registry:Registry.t -> unit -> t
+val create : registry:Registry.t -> unit -> t
 (** A fresh session over [registry]'s compiled monitors: empty interner,
-    no traces, zero counters. [jobs]/[threshold] as in
-    {!Engine.create}. *)
+    no traces, zero counters. *)
 
 val registry : t -> Registry.t
 val engine : t -> Engine.t
@@ -43,13 +42,9 @@ val to_artifact : t -> string
     [sl-artifact/1] blob: fingerprint, interner table in first-seen
     order, engine counters, per-trace packed states. *)
 
-val of_artifact :
-  ?jobs:int -> ?threshold:int -> registry:Registry.t -> string ->
-  (t, restore_error) result
-(** Decode and validate a blob against [registry]. The restored engine
-    is built fresh with [jobs]/[threshold] — parallelism is a property
-    of the process, not of the snapshot, and verdicts are [jobs]-
-    independent. Never raises: framing and validation failures (from
+val of_artifact : registry:Registry.t -> string -> (t, restore_error) result
+(** Decode and validate a blob against [registry] into a fresh engine.
+    Never raises: framing and validation failures (from
     hostile bytes through inconsistent trace state) come back as
     [Error (Corrupt _)]. *)
 
@@ -59,8 +54,7 @@ val save : t -> path:string -> unit
     snapshot at [path]. @raise Sys_error when the path is unwritable. *)
 
 val load :
-  ?jobs:int -> ?threshold:int -> registry:Registry.t -> path:string ->
-  unit -> (t, restore_error) result
+  registry:Registry.t -> path:string -> unit -> (t, restore_error) result
 (** Read [path] and {!of_artifact} it; unreadable files come back as
     [Error (Corrupt _)] like any other bad blob. *)
 

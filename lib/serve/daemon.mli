@@ -1,8 +1,7 @@
 (** The serving core: one monitoring {!Sl_runtime.Session} shared by
     every connection.
 
-    All client streams multiplex onto a single engine whose traces are
-    sharded across [jobs] domains by trace id (the PR 5 pool) — "which
+    All client streams multiplex onto a single engine — "which
     connection an event arrived on" is deliberately not part of the
     monitoring semantics, only trace ids are, so two clients feeding the
     same trace id interleave into one trace exactly as two files

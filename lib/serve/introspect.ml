@@ -115,7 +115,7 @@ let render_status t =
   p "\"props\": %d, \"monitors\": %d, \"jobs\": %d, "
     (Registry.nprops registry)
     (Registry.nmonitors registry)
-    (Engine.jobs eng);
+    (Sl_core.Pool.default_jobs ());
   p "\"traces\": %d, \"events\": %d, \"live\": %d, \"tripped\": %d, \
      \"retired_admissible\": %d, "
     (Engine.ntraces eng) (Engine.events eng) (Engine.live eng)

@@ -5,8 +5,6 @@ type config = {
   props_file : string;
   unix_socket : string option;
   tcp_port : int option;
-  jobs : int option;
-  threshold : int option;
   snapshot : string option;
   resume : string option;
   max_line : int;
@@ -19,8 +17,6 @@ let default_config ~props_file =
     props_file;
     unix_socket = None;
     tcp_port = None;
-    jobs = None;
-    threshold = None;
     snapshot = None;
     resume = None;
     max_line = 65536;
@@ -74,9 +70,7 @@ let build_registry cfg =
   let errs =
     Fun.protect
       ~finally:(fun () -> if ic != stdin then close_in_noerr ic)
-      (fun () ->
-        Registry.load_channel registry ~path:cfg.props_file
-          ?jobs:cfg.jobs ic)
+      (fun () -> Registry.load_channel registry ~path:cfg.props_file ic)
   in
   List.iter prerr_endline errs;
   if Registry.nprops registry = 0 then begin
@@ -87,11 +81,9 @@ let build_registry cfg =
 
 let build_session cfg registry =
   match cfg.resume with
-  | None -> Session.create ?jobs:cfg.jobs ?threshold:cfg.threshold ~registry ()
+  | None -> Session.create ~registry ()
   | Some path -> (
-      match
-        Session.load ?jobs:cfg.jobs ?threshold:cfg.threshold ~registry ~path ()
-      with
+      match Session.load ~registry ~path () with
       | Ok s ->
           note cfg "slc serve: resumed %s (%d traces, %d events)\n%!" path
             (Engine.ntraces (Session.engine s))
@@ -236,7 +228,7 @@ let run cfg =
   let do_reload () =
     match
       Reload.from_props_file ~old_session:(Daemon.session daemon)
-        ~props_file:cfg.props_file ?jobs:cfg.jobs ?threshold:cfg.threshold ()
+        ~props_file:cfg.props_file ()
     with
     | Ok (s, carried, errs) ->
         List.iter prerr_endline errs;

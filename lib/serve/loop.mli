@@ -1,8 +1,7 @@
 (** The daemon event loop: a single-threaded [Unix.select] reactor.
 
-    One process, one {!Daemon} (so one engine — parallelism lives inside
-    the engine's domain pool, sharded by trace id, not in the I/O
-    layer), many connections. The loop owns all syscalls and signals;
+    One process, one {!Daemon} (so one engine, stepping on the loop's
+    own domain), many connections. The loop owns all syscalls and signals;
     protocol logic lives in {!Conn}, monitoring in {!Daemon}.
 
     Per round: commit any pending SIGHUP reload (between rounds every
@@ -23,8 +22,6 @@ type config = {
   props_file : string;
   unix_socket : string option;
   tcp_port : int option;  (** bound on loopback *)
-  jobs : int option;  (** engine pool width; default [Pool.default_jobs] *)
-  threshold : int option;  (** engine work-size cutoff *)
   snapshot : string option;  (** written on graceful shutdown *)
   resume : string option;  (** session artifact to restore at startup *)
   max_line : int;

@@ -6,8 +6,8 @@
     with the same 1-based bad-prefix positions), emitted incrementally
     per trip/retire instead of only at EOF. Every renderer returns a
     complete line including the trailing newline; field order is fixed,
-    so the output is byte-stable across runs and [jobs] values (modulo
-    record order, which the parallel feed may permute across shards).
+    so the output is byte-stable across runs and [jobs] values, record
+    order included (the engine fires retirements in event order).
 
     Record types: [hello] (one per connection, on accept), [verdict]
     (per (trace, property), with a [cause] of [trip]/[retire]/

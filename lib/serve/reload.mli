@@ -26,22 +26,18 @@
 val carry_over :
   old_session:Sl_runtime.Session.t ->
   registry:Sl_runtime.Registry.t ->
-  ?jobs:int ->
-  ?threshold:int ->
   unit ->
   (Sl_runtime.Session.t * int, string) result
 (** Build a session over [registry] continuing [old_session]'s run.
     Returns the new session and the number of new-registry monitors
     that inherited state ([= nmonitors] on the identical path).
-    [jobs] defaults to the old engine's pool width. [Error] refuses the
+    [Error] refuses the
     reload (alphabet change, or a corrupt round-trip) — the old session
     is never touched either way. *)
 
 val from_props_file :
   old_session:Sl_runtime.Session.t ->
   props_file:string ->
-  ?jobs:int ->
-  ?threshold:int ->
   unit ->
   (Sl_runtime.Session.t * int * string list, string) result
 (** The SIGHUP entry point: re-read [props_file] into a fresh registry

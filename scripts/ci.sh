@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI smoke: build everything (library, CLI, examples, bench harness),
 # run the full test suite (once at the default pool width and once with
-# SLC_JOBS=4 so every parallel path runs sharded), run every example
+# SLC_JOBS=4 so registry compilation runs on 4 domains), run every example
 # program, exercise the CLI (including the observability surface:
 # --metrics / --trace-out, the -j byte-identity cross-checks, and the
 # daemon's /status introspection endpoints + slc top), then regenerate
@@ -13,9 +13,24 @@ set -eu
 dune build @runtest
 dune build bin examples bench
 
+# One stepping kernel: the domain pool is used by registry compilation
+# only. Outside lib/core/pool.*, Sl_core.Pool may appear in lib/ only in
+# the registry and in the /status "jobs" read, and Domain.spawn only in
+# the pool itself.
+echo "--- parallel-path guard"
+stray=$(grep -rln 'Pool\.' lib --include='*.ml' --include='*.mli' \
+          | grep -v -e '^lib/core/pool\.ml' -e '^lib/runtime/registry\.ml' \
+                    -e '^lib/serve/introspect\.ml' || true)
+[ -z "$stray" ] || { echo "Pool used outside the registry: $stray"; exit 1; }
+[ "$(grep -c 'Pool\.' lib/serve/introspect.ml)" -eq 1 ] \
+  && grep -q 'Pool\.default_jobs ()' lib/serve/introspect.ml \
+  || { echo "introspect.ml may only read Pool.default_jobs ()"; exit 1; }
+stray=$(grep -rln 'Domain\.spawn' lib | grep -v '^lib/core/pool\.ml$' || true)
+[ -z "$stray" ] || { echo "Domain.spawn outside the pool: $stray"; exit 1; }
+
 # The whole suite again with the process-default pool width forced to 4:
-# every ?jobs-defaulted path (engine, registry, complementation, theorem
-# sweeps) now runs its parallel code under the existing pins.
+# registry compilation (the one ?jobs-defaulted path) now runs its
+# parallel code under the existing pins.
 echo "--- dune runtest with SLC_JOBS=4"
 SLC_JOBS=4 dune runtest --force
 

@@ -1,10 +1,9 @@
 (* The serving layer: the daemon's NDJSON stream must agree with the
-   offline report, under any framing and any parallelism.
+   offline report, under any framing.
 
    The central pin: drive a connection's state machine with the same
    event lines the offline pipeline reads — at every byte-split of the
-   input and at jobs 1 and 4 (threshold 1, so the sharded parallel feed
-   really runs) — and the set of (trace, prop, verdict, position)
+   input — and the set of (trace, prop, verdict, position)
    tuples served (incremental trip/retire records plus the EOF dump)
    equals the offline verdict table exactly. The adversarial half:
    garbage bytes, oversized lines and half-closed streams produce
@@ -36,9 +35,9 @@ let mk_registry ?(props = props_src) () =
        (List.map (fun s -> (Some s, Formula.parse_exn s)) props));
   r
 
-let mk_daemon ?props ?(jobs = 1) () =
+let mk_daemon ?props () =
   let registry = mk_registry ?props () in
-  Daemon.make (Session.create ~jobs ~threshold:1 ~registry ())
+  Daemon.make (Session.create ~registry ())
 
 (* {2 A minimal NDJSON field scraper}
 
@@ -103,9 +102,9 @@ let served_tuples out =
 (* The offline truth: a fresh engine over the same registry source fed
    the same events, every (trace, prop) verdict rendered in the same
    normal form. *)
-let offline_tuples ?props ~jobs events =
+let offline_tuples ?props events =
   let registry = mk_registry ?props () in
-  let session = Session.create ~jobs ~threshold:1 ~registry () in
+  let session = Session.create ~registry () in
   let ingest = Session.ingest session in
   let engine = Session.engine session in
   List.iter
@@ -136,8 +135,8 @@ let render_lines events =
 
 (* Feed [bytes] to a fresh connection cut at [splits] (ascending byte
    offsets), half-close, and return everything it wrote. *)
-let serve_split ?props ?(jobs = 1) ~splits bytes =
-  let daemon = mk_daemon ?props ~jobs () in
+let serve_split ?props ~splits bytes =
+  let daemon = mk_daemon ?props () in
   let conn = Conn.create daemon in
   let n = String.length bytes in
   let cuts = List.sort_uniq compare (List.filter (fun c -> c > 0 && c < n) splits) in
@@ -159,17 +158,13 @@ let test_served_equals_offline () =
       ("t1", 0) ]
   in
   let bytes = render_lines events in
-  List.iter
-    (fun jobs ->
-      let offline = offline_tuples ~jobs events in
-      (* every single-byte framing of the stream *)
-      let splits = List.init (String.length bytes) (fun i -> i) in
-      let _, out = serve_split ~jobs ~splits bytes in
-      check "byte-split serve = offline" true (SS.equal offline (served_tuples out));
-      let _, out2 = serve_split ~jobs ~splits:[] bytes in
-      check "one-shot serve = offline" true
-        (SS.equal offline (served_tuples out2)))
-    [ 1; 4 ]
+  let offline = offline_tuples events in
+  (* every single-byte framing of the stream *)
+  let splits = List.init (String.length bytes) (fun i -> i) in
+  let _, out = serve_split ~splits bytes in
+  check "byte-split serve = offline" true (SS.equal offline (served_tuples out));
+  let _, out2 = serve_split ~splits:[] bytes in
+  check "one-shot serve = offline" true (SS.equal offline (served_tuples out2))
 
 let test_summary_counters () =
   let events = [ ("a", 0); ("b", 1); ("a", 1); ("b", 0) ] in
@@ -205,27 +200,26 @@ let test_pretripped_announced () =
       (records_of_type "verdict" out)
   in
   check_int "one pretripped announcement per trace" 2 (List.length viols);
-  let offline = offline_tuples ~props ~jobs:1 [ ("x", 1); ("y", 0) ] in
+  let offline = offline_tuples ~props [ ("x", 1); ("y", 0) ] in
   check "still equal to offline" true (SS.equal offline (served_tuples out))
 
-(* {2 QCheck: equivalence at random streams, random framings, jobs 1/4} *)
+(* {2 QCheck: equivalence at random streams and random framings} *)
 
 let qcheck_served_equals_offline =
   let gen =
     QCheck.Gen.(
       let event = pair (oneofl [ "a"; "b"; "c"; "d" ]) (int_bound 1) in
-      triple (list_size (int_bound 60) event)
-        (list_size (int_bound 8) (int_bound 400))
-        (oneofl [ 1; 4 ]))
+      pair (list_size (int_bound 60) event)
+        (list_size (int_bound 8) (int_bound 400)))
   in
   QCheck.Test.make ~count:60 ~name:"served NDJSON = offline report"
-    (QCheck.make gen) (fun (events, rawsplits, jobs) ->
+    (QCheck.make gen) (fun (events, rawsplits) ->
       let bytes = render_lines events in
       let splits =
         List.filter (fun c -> c < String.length bytes) rawsplits
       in
-      let offline = offline_tuples ~jobs events in
-      let _, out = serve_split ~jobs ~splits bytes in
+      let offline = offline_tuples events in
+      let _, out = serve_split ~splits bytes in
       SS.equal offline (served_tuples out))
 
 (* {2 Hostile clients} *)
@@ -247,7 +241,7 @@ let test_garbage_bytes () =
   check_int "valid events" 2 (Conn.events conn);
   check "offline equivalence survives the garbage" true
     (SS.equal
-       (offline_tuples ~jobs:1 [ ("t1", 0); ("t1", 1) ])
+       (offline_tuples [ ("t1", 0); ("t1", 1) ])
        (served_tuples out))
 
 let test_oversized_line () =
@@ -266,7 +260,7 @@ let test_oversized_line () =
     | _ -> false);
   check_int "the next line still monitors" 1 (Conn.events conn);
   check "t2 served" true
-    (SS.equal (offline_tuples ~jobs:1 [ ("t2", 1) ]) (served_tuples out))
+    (SS.equal (offline_tuples [ ("t2", 1) ]) (served_tuples out))
 
 let test_half_close_dump () =
   (* a client that writes nothing and half-closes still gets hello,
@@ -323,7 +317,7 @@ let test_backpressure () =
 
 let test_reload_identical () =
   let registry = mk_registry () in
-  let session = Session.create ~jobs:1 ~threshold:1 ~registry () in
+  let session = Session.create ~registry () in
   let daemon = Daemon.make session in
   let conn = Conn.create daemon in
   Conn.on_bytes conn "t1 0\nt1 0\n";
@@ -341,7 +335,7 @@ let test_reload_identical () =
   let out = Conn.drain_output conn in
   check "verdicts as if never reloaded" true
     (SS.equal
-       (offline_tuples ~jobs:1 [ ("t1", 0); ("t1", 0); ("t1", 1) ])
+       (offline_tuples [ ("t1", 0); ("t1", 0); ("t1", 1) ])
        (served_tuples out));
   check "G a tripped at 3 across the reload" true
     (SS.mem "t1|G a|violation|3" (served_tuples out))
@@ -350,7 +344,7 @@ let test_reload_carry_over () =
   (* old registry [G a]; new adds [!a] and drops nothing: the G a
      monitor state must carry, !a starts fresh at the reload point *)
   let old_registry = mk_registry ~props:[ "G a" ] () in
-  let session = Session.create ~jobs:1 ~threshold:1 ~registry:old_registry () in
+  let session = Session.create ~registry:old_registry () in
   let daemon = Daemon.make session in
   let conn = Conn.create daemon in
   Conn.on_bytes conn "x 0\n";
@@ -380,7 +374,7 @@ let test_reload_carry_over () =
 
 let test_reload_alphabet_refused () =
   let registry = mk_registry () in
-  let session = Session.create ~jobs:1 ~threshold:1 ~registry () in
+  let session = Session.create ~registry () in
   let wide = Registry.create ~alphabet:3 () in
   ignore (Registry.add_formula wide (Formula.parse_exn "G a"));
   match Reload.carry_over ~old_session:session ~registry:wide () with
@@ -403,7 +397,7 @@ let test_reload_from_props_file () =
   let ic = open_in props in
   ignore (Registry.load_channel registry ~path:props ic);
   close_in ic;
-  let session = Session.create ~jobs:1 ~threshold:1 ~registry () in
+  let session = Session.create ~registry () in
   let daemon = Daemon.make session in
   let conn = Conn.create daemon in
   Conn.on_bytes conn "t 0\n";
@@ -439,11 +433,11 @@ let test_reload_at_every_chunk () =
   let events =
     [ ("t1", 0); ("t2", 1); ("t1", 0); ("t2", 0); ("t1", 1); ("t2", 1) ]
   in
-  let offline = offline_tuples ~jobs:1 events in
+  let offline = offline_tuples events in
   let n = List.length events in
   for k = 0 to n do
     let registry = mk_registry () in
-    let daemon = Daemon.make (Session.create ~jobs:1 ~threshold:1 ~registry ()) in
+    let daemon = Daemon.make (Session.create ~registry ()) in
     let conn = Conn.create daemon in
     let before, after =
       (List.filteri (fun i _ -> i < k) events,
@@ -613,10 +607,10 @@ let test_concurrent_scrape_backpressure () =
   Conn.on_eof stream;
   let out = Conn.drain_output stream in
   check "verdicts unchanged by scraping" true
-    (SS.equal (offline_tuples ~jobs:1 events) (served_tuples out))
+    (SS.equal (offline_tuples events) (served_tuples out))
 
-(* Telemetry on, jobs 1 and 4: the served byte stream is identical to
-   the dark-kernel stream, and both equal the offline report. *)
+(* Telemetry on: the served byte stream is identical to the dark-kernel
+   stream, and both equal the offline report. *)
 let test_obs_enabled_serve_identical () =
   let events =
     [ ("t1", 0); ("t2", 1); ("t1", 1); ("t3", 0); ("t2", 0); ("t3", 1) ]
@@ -627,19 +621,14 @@ let test_obs_enabled_serve_identical () =
       Obs.disable ();
       Obs.reset ())
     (fun () ->
-      List.iter
-        (fun jobs ->
-          Obs.disable ();
-          let _, dark = serve_split ~jobs ~splits:[ 7; 13 ] bytes in
-          Obs.enable ();
-          let _, lit = serve_split ~jobs ~splits:[ 7; 13 ] bytes in
-          Obs.disable ();
-          check_str
-            (Printf.sprintf "obs-on output byte-identical at jobs %d" jobs)
-            dark lit;
-          check "and equal to offline" true
-            (SS.equal (offline_tuples ~jobs events) (served_tuples lit)))
-        [ 1; 4 ])
+      Obs.disable ();
+      let _, dark = serve_split ~splits:[ 7; 13 ] bytes in
+      Obs.enable ();
+      let _, lit = serve_split ~splits:[ 7; 13 ] bytes in
+      Obs.disable ();
+      check_str "obs-on output byte-identical" dark lit;
+      check "and equal to offline" true
+        (SS.equal (offline_tuples events) (served_tuples lit)))
 
 (* {2 Jsonv} *)
 
@@ -681,7 +670,7 @@ let test_record_escaping () =
 
 let tests =
   [
-    Alcotest.test_case "served = offline at byte splits and jobs"
+    Alcotest.test_case "served = offline at byte splits and one-shot"
       `Quick test_served_equals_offline;
     Alcotest.test_case "summary counters" `Quick test_summary_counters;
     Alcotest.test_case "hello opens the stream" `Quick test_hello_first;
