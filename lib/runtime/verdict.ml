@@ -223,18 +223,16 @@ let to_json r =
         m.m_hashcons_hits m.m_chunk_latency_count m.m_chunk_latency_sum_ns
         m.m_minor_words);
   p "  \"props\": [\n";
-  let last_prop = List.length r.prop_summaries - 1 in
   List.iteri
     (fun i s ->
       p "    {\"name\": \"%s\", \"monitor\": %d, \"vacuous\": %b, \
          \"trips\": %d}%s\n"
         (json_escape s.prop.Registry.name)
         s.prop.Registry.monitor s.vacuous s.trips
-        (if i = last_prop then "" else ","))
+        (if i = List.length r.prop_summaries - 1 then "" else ","))
     r.prop_summaries;
   p "  ],\n";
   p "  \"traces\": [\n";
-  let last_row = List.length r.rows - 1 in
   List.iteri
     (fun i row ->
       p "    {\"name\": \"%s\", \"events\": %d, \"verdicts\": [%s]}%s\n"
@@ -248,7 +246,7 @@ let to_json r =
                   (let s = verdict_json v in
                    String.sub s 1 (String.length s - 1)))
               row.verdicts))
-        (if i = last_row then "" else ","))
+        (if i = List.length r.rows - 1 then "" else ","))
     r.rows;
   p "  ]\n";
   p "}\n";
