@@ -1,184 +1,215 @@
 module Buchi = Sl_buchi.Buchi
+module Bitset = Sl_core.Bitset
 module Obs = Sl_obs.Obs
 
 (* Tableau-translation telemetry (recorded only while Sl_obs is
-   enabled): closure size, elementary-set count (GNBA states),
+   enabled): closure size, elementary-set count (reachable GNBA states),
    degeneralization width, and the resulting NBA size per phase. *)
 let m_translate_runs = Obs.Metrics.counter "ltl_translate_runs_total"
 let h_closure_size = Obs.Metrics.histogram "ltl_closure_size"
 let h_gnba_states = Obs.Metrics.histogram "ltl_gnba_states"
 let h_nba_states = Obs.Metrics.histogram "ltl_nba_states"
 
-(* The positive closure: all non-negation core subformulas. Membership of a
-   negation ¬ψ in an elementary set is represented as absence of ψ. *)
-let positive_closure core =
-  List.filter
-    (fun (f : Formula.core) -> match f with CNot _ -> false | _ -> true)
-    (Formula.core_subformulas core)
+(* The positive closure as a hash-consed DAG, children before parents.
+   A literal is [2 * node + polarity]: membership of a negation ¬ψ in an
+   elementary set is represented as absence of ψ. [X ¬ψ] is stored as
+   [¬X ψ], so [X^k a] and [X^k ¬a] share one node and one bit. *)
+type node =
+  | Top
+  | Atom of string
+  | Conj of int * int
+  | Next of int
+  | Until of int * int
 
-type tableau = {
-  pos : Formula.core array;
-  index : (Formula.core, int) Hashtbl.t;
-  untils : (int * Formula.core * Formula.core) list;
-      (* (index of the Until in pos, left operand, right operand) *)
-}
-
-let build_tableau core =
-  let pos = Array.of_list (positive_closure core) in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i f -> Hashtbl.replace index f i) pos;
-  let untils =
-    Array.to_list pos
-    |> List.filter_map (fun f ->
-           match (f : Formula.core) with
-           | CUntil (a, b) -> Some (Hashtbl.find index f, a, b)
-           | _ -> None)
+let closure core =
+  let table = Hashtbl.create 16 in
+  let nodes = ref [] in
+  let intern n =
+    match Hashtbl.find_opt table n with
+    | Some i -> 2 * i
+    | None ->
+        let i = Hashtbl.length table in
+        Hashtbl.add table n i;
+        nodes := n :: !nodes;
+        2 * i
   in
-  { pos; index; untils }
-
-(* Membership of an arbitrary closure formula in the set encoded by bits. *)
-let rec mem t bits (f : Formula.core) =
-  match f with
-  | CNot g -> not (mem t bits g)
-  | _ -> bits land (1 lsl Hashtbl.find t.index f) <> 0
-
-let is_elementary t bits =
-  Array.for_all Fun.id
-    (Array.mapi
-       (fun i (f : Formula.core) ->
-         let here = bits land (1 lsl i) <> 0 in
-         match f with
-         | CTrue -> here
-         | CProp _ | CNext _ -> true
-         | CNot _ -> assert false
-         | CAnd (a, b) -> here = (mem t bits a && mem t bits b)
-         | CUntil (a, b) ->
-             (* Local expansion constraints: b forces the until; a pending
-                until without b needs a. *)
-             ((not (mem t bits b)) || here)
-             && ((not here) || mem t bits b || mem t bits a))
-       t.pos)
-
-let compatible t ~valuation bits symbol =
-  Array.for_all Fun.id
-    (Array.mapi
-       (fun i (f : Formula.core) ->
-         match f with
-         | CProp p -> (bits land (1 lsl i) <> 0) = valuation symbol p
-         | _ -> true)
-       t.pos)
-
-(* The step relation between consecutive elementary sets: X-obligations and
-   the temporal half of the Until expansion. *)
-let linked t bits bits' =
-  Array.for_all Fun.id
-    (Array.mapi
-       (fun i (f : Formula.core) ->
-         let here = bits land (1 lsl i) <> 0 in
-         let there = bits' land (1 lsl i) <> 0 in
-         match f with
-         | CNext g -> here = mem t bits' g
-         | CUntil (a, b) -> here = (mem t bits b || (mem t bits a && there))
-         | CTrue | CProp _ | CAnd _ -> true
-         | CNot _ -> assert false)
-       t.pos)
-
-let build formula =
-  let core = Formula.to_core formula in
-  let t = build_tableau core in
-  let n = Array.length t.pos in
-  if n > 20 then invalid_arg "Translate: formula closure too large";
-  let elementary =
-    List.filter (is_elementary t) (List.init (1 lsl n) Fun.id)
+  let rec lit (f : Formula.core) =
+    match f with
+    | CTrue -> intern Top
+    | CProp p -> intern (Atom p)
+    | CNot g -> lit g lxor 1
+    | CAnd (a, b) ->
+        let a = lit a in
+        intern (Conj (a, lit b))
+    | CNext g ->
+        let g = lit g in
+        intern (Next (g land lnot 1)) lor (g land 1)
+    | CUntil (a, b) ->
+        let a = lit a in
+        intern (Until (a, lit b))
   in
-  let elementary = Array.of_list elementary in
-  let ne = Array.length elementary in
-  let eindex = Hashtbl.create 64 in
-  Array.iteri (fun i bits -> Hashtbl.replace eindex bits i) elementary;
-  (* Acceptance sets, one per Until: sets where the until is not pending. *)
-  let untils = t.untils in
-  let k = max 1 (List.length untils) in
-  let in_accept_set j bits =
-    match List.nth_opt untils j with
-    | None -> true (* no untils: the single set accepts everywhere *)
-    | Some (ui, _, b) ->
-        bits land (1 lsl ui) = 0 || mem t bits b
-  in
-  let initial_sets =
-    List.filter (fun bits -> mem t bits core) (Array.to_list elementary)
-  in
-  (t, elementary, ne, eindex, k, in_accept_set, initial_sets)
+  let root = lit core in
+  (Array.of_list (List.rev !nodes), root)
 
+let holds set l = Bitset.unsafe_mem set (l lsr 1) <> (l land 1 = 1)
+
+(* Every elementary set meeting the required literals [req] (a bitset
+   over literals), by a depth-first assignment of the closure in order.
+   Atoms and [X]-nodes branch; [Top] and conjunctions are determined by
+   what is below them; an until is forced by the local expansion law
+   ([b] forces it, neither [a] nor [b] refutes it) and branches only
+   when [a ∧ ¬b]. A required literal prunes its node's branch as soon as
+   the node is assigned. *)
+let elementary nodes req =
+  let n = Array.length nodes in
+  let cur = Bitset.create n in
+  let found = ref [] in
+  let rec go i =
+    if i = n then found := Bitset.copy cur :: !found
+    else begin
+      let assign v =
+        if not (Bitset.unsafe_mem req ((2 * i) + if v then 1 else 0))
+        then
+          if v then begin
+            Bitset.unsafe_add cur i;
+            go (i + 1);
+            Bitset.remove cur i
+          end
+          else go (i + 1)
+      in
+      match nodes.(i) with
+      | Top -> assign true
+      | Conj (a, b) -> assign (holds cur a && holds cur b)
+      | Atom _ | Next _ ->
+          assign false;
+          assign true
+      | Until (a, b) ->
+          if holds cur b then assign true
+          else if holds cur a then begin
+            assign false;
+            assign true
+          end
+          else assign false
+    end
+  in
+  go 0;
+  !found
+
+(* What every successor of [set] must satisfy, as a set of literals:
+   the operand of each [X]-node takes the node's truth value, and an
+   until pending on [a ∧ ¬b] keeps its own. Contradictory literals
+   admit no set. *)
+let obligations nodes set =
+  let req = Bitset.create (2 * Array.length nodes) in
+  Array.iteri
+    (fun i node ->
+      let here = Bitset.unsafe_mem set i in
+      match node with
+      | Next g -> Bitset.unsafe_add req (if here then g else g lxor 1)
+      | Until (a, b) when holds set a && not (holds set b) ->
+          Bitset.unsafe_add req ((2 * i) + if here then 0 else 1)
+      | _ -> ())
+    nodes;
+  req
+
+(* States of the degeneralized automaton are the reachable pairs
+   (elementary set, counter); 0 is the fresh start, which guesses the
+   elementary set of time 0 among those containing the formula and then
+   moves as that set would. The counter waits for the acceptance set of
+   its own until (sets where the until is not pending) and then moves
+   on; one acceptance set per until forbids postponing [b] forever. *)
 let translate ~alphabet ~valuation formula =
   let sp = Obs.Span.enter "ltl.translate" in
-  let t, elementary, ne, eindex, k, in_accept_set, initial_sets =
-    match build formula with
-    | built -> built
-    | exception e ->
-        Obs.Span.exit sp;
-        raise e
+  let nodes, root = closure (Formula.to_core formula) in
+  let n = Array.length nodes in
+  let indexed = List.mapi (fun i node -> (i, node)) (Array.to_list nodes) in
+  let untils =
+    Array.of_list
+      (List.filter_map
+         (function i, Until (_, b) -> Some (i, b) | _ -> None)
+         indexed)
   in
-  (* Degeneralized state encoding: 0 is the fresh start; state
-     1 + (e * k + counter) is (elementary set e, counter). *)
-  let nstates = 1 + (ne * k) in
-  let encode e counter = 1 + (e * k) + counter in
-  let delta = Array.make_matrix nstates alphabet [] in
-  let bump e counter =
-    if in_accept_set counter elementary.(e) then (counter + 1) mod k
-    else counter
+  let k = max 1 (Array.length untils) in
+  let in_accept_set j set =
+    j >= Array.length untils
+    ||
+    let i, b = untils.(j) in
+    (not (Bitset.unsafe_mem set i)) || holds set b
   in
-  for e = 0 to ne - 1 do
-    let bits = elementary.(e) in
+  let bump set counter =
+    if in_accept_set counter set then (counter + 1) mod k else counter
+  in
+  let atoms =
+    List.filter_map (function i, Atom p -> Some (i, p) | _ -> None) indexed
+  in
+  let compatible set s =
+    List.for_all (fun (i, p) -> Bitset.unsafe_mem set i = valuation s p) atoms
+  in
+  (* Successors depend only on the obligations, which many sets share:
+     memoized per distinct obligation set. *)
+  let sets = Bitset.Interner.create () in
+  let by_req = Bitset.Interner.create () in
+  let succ_memo = Hashtbl.create 64 in
+  let successors set =
+    let req = obligations nodes set in
+    let r = Bitset.Interner.intern by_req req in
+    match Hashtbl.find_opt succ_memo r with
+    | Some l -> l
+    | None ->
+        let l = List.map (Bitset.Interner.intern sets) (elementary nodes req) in
+        Hashtbl.add succ_memo r l;
+        l
+  in
+  let index = Hashtbl.create 256 in
+  let queue = Queue.create () in
+  let nstates = ref 1 in
+  let state e counter =
+    let key = (e * k) + counter in
+    match Hashtbl.find_opt index key with
+    | Some q -> q
+    | None ->
+        let q = !nstates in
+        incr nstates;
+        Hashtbl.add index key q;
+        Queue.push (e, counter) queue;
+        q
+  in
+  let expand set counter =
+    let row = Array.make alphabet [] in
+    let c' = bump set counter in
+    let succ = lazy (List.map (fun e' -> state e' c') (successors set)) in
     for s = 0 to alphabet - 1 do
-      if compatible t ~valuation bits s then
-        for e' = 0 to ne - 1 do
-          if linked t bits elementary.(e') then
-            for counter = 0 to k - 1 do
-              delta.(encode e counter).(s) <-
-                encode e' (bump e counter) :: delta.(encode e counter).(s)
-            done
-        done
-    done
-  done;
-  (* Start transitions: guess the elementary set of time 0 among initial
-     sets compatible with the first letter, then move as that set would. *)
-  List.iter
-    (fun bits ->
-      let e = Hashtbl.find eindex bits in
-      for s = 0 to alphabet - 1 do
-        if compatible t ~valuation bits s then
-          for e' = 0 to ne - 1 do
-            if linked t bits elementary.(e') then
-              delta.(0).(s) <- encode e' (bump e 0) :: delta.(0).(s)
-          done
-      done)
-    initial_sets;
-  Array.iter
-    (fun row ->
-      Array.iteri (fun s l -> row.(s) <- List.sort_uniq compare l) row)
-    delta;
-  let accepting =
-    Array.init nstates (fun q ->
-        if q = 0 then false
-        else begin
-          let e = (q - 1) / k and counter = (q - 1) mod k in
-          counter = 0 && in_accept_set 0 elementary.(e)
-        end)
+      if compatible set s then row.(s) <- Lazy.force succ
+    done;
+    row
   in
+  let start = Array.make alphabet [] in
+  List.iter
+    (fun set ->
+      Array.iteri (fun s l -> start.(s) <- l @ start.(s)) (expand set 0))
+    (elementary nodes (Bitset.singleton (2 * n) root));
+  let rows = ref [ start ] and accepting = ref [ false ] in
+  while not (Queue.is_empty queue) do
+    let e, counter = Queue.pop queue in
+    let set = Bitset.Interner.get sets e in
+    rows := expand set counter :: !rows;
+    accepting := (counter = 0 && in_accept_set 0 set) :: !accepting
+  done;
+  let delta =
+    Array.of_list
+      (List.rev_map (Array.map (List.sort_uniq compare)) !rows)
+  in
+  let accepting = Array.of_list (List.rev !accepting) in
+  let nstates = !nstates in
   let b = Buchi.make ~alphabet ~nstates ~start:0 ~delta ~accepting in
+  let ne = Bitset.Interner.count sets in
   Obs.Metrics.incr m_translate_runs;
-  Obs.Metrics.observe h_closure_size (Array.length t.pos);
+  Obs.Metrics.observe h_closure_size n;
   Obs.Metrics.observe h_gnba_states ne;
   Obs.Metrics.observe h_nba_states nstates;
-  Obs.Span.attr sp "closure_size" (Array.length t.pos);
+  Obs.Span.attr sp "closure_size" n;
   Obs.Span.attr sp "elementary_sets" ne;
   Obs.Span.attr sp "acceptance_sets" k;
   Obs.Span.attr sp "nba_states" nstates;
   Obs.Span.exit sp;
   b
-
-let gnba_stats ~alphabet ~valuation formula =
-  ignore alphabet;
-  ignore valuation;
-  let _, _, ne, _, k, _, _ = build formula in
-  (ne, k, 1 + (ne * k))

@@ -169,6 +169,29 @@ rm -f "$cached.raw"
 diff "$nocache" "$cached" || { echo "SLC_CACHE report differs"; exit 1; }
 rm -f "$nocache" "$cached"
 
+# Compile-time guard: the X-depth family (examples/xdepth.props, k = 1..6)
+# must compile in seconds, not exponentially. Each run — uncached, cold
+# --cache and warm --cache — gets 60 s, and the three reports must be
+# byte-identical (modulo the wall-clock events_per_s rate).
+echo "--- slc monitor X-depth compile guard"
+xdepth_cache=$(mktemp -d /tmp/slc-ci-cache.XXXXXX)
+for run in nocache cold warm; do
+  flags=""
+  [ "$run" = nocache ] || flags="--cache $xdepth_cache"
+  status=0
+  timeout 60 _build/default/bin/slc.exe monitor \
+    --props examples/xdepth.props --trace examples/monitor.events --json \
+    $flags > "$xdepth_cache.$run.raw" || status=$?
+  [ "$status" -le 1 ] || { echo "xdepth $run run failed ($status)"; exit 1; }
+  sed 's/"events_per_s": [0-9.]*/"events_per_s": X/' "$xdepth_cache.$run.raw" \
+    > "$xdepth_cache.$run"
+done
+diff "$xdepth_cache.nocache" "$xdepth_cache.cold" \
+  || { echo "xdepth cold cached report differs"; exit 1; }
+diff "$xdepth_cache.nocache" "$xdepth_cache.warm" \
+  || { echo "xdepth warm cached report differs"; exit 1; }
+rm -rf "$xdepth_cache" "$xdepth_cache".*
+
 # Session snapshot/resume smoke: feed the first half of the stream and
 # snapshot, resume in a fresh process on the second half, and the final
 # report must be byte-identical to the uninterrupted run (modulo the

@@ -335,8 +335,8 @@ let test_split_agrees_with_check () =
     [ "G !(c1 & c2)"; "G (t1 -> F c1)"; "F c1"; "G F (c1 | n1)";
       "G (c1 -> X !c1)" ]
 
-let prop_translation_random_formulas =
-  (* Random formula generator over one proposition. *)
+(* Random formulas over one proposition. *)
+let random_formula =
   let gen =
     QCheck.Gen.(
       sized @@ fix (fun self n ->
@@ -355,15 +355,74 @@ let prop_translation_random_formulas =
                 map2 (fun a b -> Formula.Until (a, b)) sub sub;
                 map2 (fun a b -> Formula.Release (a, b)) sub sub ]))
   in
-  let arb = QCheck.make ~print:Formula.to_string gen in
+  QCheck.make ~print:Formula.to_string gen
+
+let prop_translation_random_formulas =
   QCheck.Test.make ~name:"random formulas: translation = semantics"
-    ~count:60 arb
+    ~count:60 random_formula
     (fun f ->
       QCheck.assume (Formula.size f <= 8);
       let b = Translate.translate ~alphabet:2 ~valuation:v f in
       List.for_all
         (fun w -> Semantics.eval v f w = Buchi.accepts_lasso b w)
         (Lasso.enumerate ~alphabet:2 ~max_prefix:2 ~max_cycle:2))
+
+(* --- The reference tableau --- *)
+
+module Packed_dfa = Sl_runtime.Packed_dfa
+
+(* The on-the-fly translator builds reachable states only, and it and
+   the exhaustive declarative tableau (Tableau_ref) compile to the same
+   monitor, byte for byte. *)
+let same_monitor f =
+  let key b = Packed_dfa.key (Packed_dfa.of_buchi b) in
+  let b = Translate.translate ~alphabet:2 ~valuation:v f in
+  Array.for_all Fun.id (Buchi.reachable b)
+  && String.equal (key b)
+       (key (Tableau_ref.translate ~alphabet:2 ~valuation:v f))
+
+let props_file path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.map String.trim
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+(* The benchmark's X-depth family: G (p -> X^k q) for k <= 6 and
+   G (p -> (X^k q | X^(k+1) r)) for k <= 3, over every choice of
+   literals p, q, r. *)
+let deep_family =
+  let xs k = String.concat "" (List.init k (fun _ -> "X ")) in
+  let lits = [ "a"; "!a" ] in
+  List.concat_map
+    (fun p ->
+      List.concat_map
+        (fun q ->
+          List.init 6 (fun i -> Printf.sprintf "G (%s -> %s%s)" p (xs (i + 1)) q)
+          @ List.concat_map
+              (fun r ->
+                List.init 3 (fun i ->
+                    Printf.sprintf "G (%s -> (%s%s | %s%s))" p (xs (i + 1)) q
+                      (xs (i + 2)) r))
+              lits)
+        lits)
+    lits
+
+let test_translation_matches_reference () =
+  List.iter
+    (fun f ->
+      check ("reachable, same monitor as the reference: "
+             ^ Formula.to_string f) true
+        (same_monitor f))
+    (List.map snd Examples.all
+    @ List.map Formula.parse_exn
+        (props_file "../examples/monitor.props" @ corpus @ deep_family))
+
+let prop_translation_matches_reference =
+  QCheck.Test.make ~name:"random formulas: monitor = reference tableau's"
+    ~count:60 random_formula
+    (fun f ->
+      QCheck.assume (Formula.size f <= 8);
+      same_monitor f)
 
 let tests =
   [ Alcotest.test_case "parser roundtrip" `Quick test_parser_roundtrip;
@@ -394,4 +453,7 @@ let tests =
     Alcotest.test_case "split verification" `Quick test_modelcheck_split;
     Alcotest.test_case "split agrees with whole" `Quick
       test_split_agrees_with_check;
-    QCheck_alcotest.to_alcotest prop_translation_random_formulas ]
+    Alcotest.test_case "translation vs reference tableau" `Slow
+      test_translation_matches_reference;
+    QCheck_alcotest.to_alcotest prop_translation_random_formulas;
+    QCheck_alcotest.to_alcotest prop_translation_matches_reference ]

@@ -428,6 +428,53 @@ let test_fuse_megatable () =
   check_int "empty fuse mega" 1 (Array.length mega0);
   check_int "empty fuse base" 1 (Array.length base0)
 
+(* --- Properties with a large closure --- *)
+
+(* G (a -> (X^9 !a | X^10 a)) has more than 20 subformulas in its
+   closure, which the translator once refused with Invalid_argument,
+   taking [slc monitor] and a [slc serve] reload down with it. It must
+   compile through the registry, and its monitor must trip exactly at
+   [i + 10] for the first [a] at [i] with [a] at [i + 9] and [!a] at
+   [i + 10] — and never, on lassos the formula holds on. *)
+let test_oversized_property () =
+  let xs k = String.concat "" (List.init k (fun _ -> "X ")) in
+  let src = Printf.sprintf "G (a -> (%s!a | %sa))" (xs 9) (xs 10) in
+  let reg = Registry.create () in
+  check_int "loads clean" 0 (List.length (Registry.load_lines reg [ src ]));
+  check_int "one prop" 1 (Registry.nprops reg);
+  let pd = (Registry.monitors reg).(0) in
+  let f = Formula.parse_exn src in
+  let rng = Random.State.make [| 9; 10 |] in
+  let word n = List.init n (fun _ -> Random.State.int rng 2) in
+  for _ = 1 to 400 do
+    let w =
+      Sl_word.Lasso.make
+        ~prefix:(word (Random.State.int rng 13))
+        ~cycle:(word (1 + Random.State.int rng 6))
+    in
+    let a i = Sl_word.Lasso.at w i = 0 in
+    (* Every window of 11 positions starts in the prefix or the first
+       period, so violations show by position [total_length + 10]. *)
+    let horizon = Sl_word.Lasso.total_length w + 10 in
+    let rec expected i =
+      if i + 10 >= horizon then None
+      else if a i && a (i + 9) && not (a (i + 10)) then Some (i + 10)
+      else expected (i + 1)
+    in
+    let rec tripped q p =
+      if p >= horizon then None
+      else
+        let q = Packed_dfa.step pd q (Sl_word.Lasso.at w p) in
+        if Packed_dfa.is_accepting pd q then tripped q (p + 1) else Some p
+    in
+    let name = Sl_word.Lasso.to_string w in
+    Alcotest.(check (option int)) ("trip position on " ^ name)
+      (expected 0) (tripped Packed_dfa.start 0);
+    check ("trip iff the formula fails on " ^ name)
+      (expected 0 = None)
+      (Sl_ltl.Semantics.eval Lexamples.valuation f w)
+  done
+
 (* --- End to end: ingestion -> engine -> verdict report --- *)
 
 let test_end_to_end_report () =
@@ -518,6 +565,8 @@ let test_end_to_end_report () =
 
 let tests =
   [ Alcotest.test_case "packed compilation" `Quick test_packed_shape;
+    Alcotest.test_case "closure past 20 subformulas" `Quick
+      test_oversized_property;
     Alcotest.test_case "vacuity on Rem p0-p6" `Quick
       test_vacuity_rem_examples;
     Alcotest.test_case "Monitor.feed short-circuits" `Quick
