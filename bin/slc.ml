@@ -383,8 +383,7 @@ let monitor_stream ~props_file ~trace_file ~json ~snapshot ~snapshot_every
     let t0 = Sys.time () in
     match
       Fun.protect ~finally:close (fun () ->
-          (* block reads + the zero-copy scanner; byte-identical
-             events/errors/interning to [read_channel] *)
+          (* block reads + the zero-copy scanner *)
           Ingest.scan_channel ~alphabet ingest ic
             ~on_chunk:(fun c ->
               Engine.feed engine ~n:c.Ingest.len ~traces:c.Ingest.trace_ids

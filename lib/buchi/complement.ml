@@ -35,7 +35,6 @@ let complement_closed (b : Buchi.t) =
 module Ranking = struct
   type t = { g : int array; o : int list }
 
-  let compare = Stdlib.compare
   let equal a b = a.g = b.g && a.o = b.o
 
   (* Whole-structure FNV-style mix: [Hashtbl.hash] truncates after a
@@ -63,8 +62,7 @@ let initial_ranking (b : Buchi.t) ~max_rank =
   g.(b.start) <- max_rank;
   { Ranking.g; o = [] }
 
-(* Legal ranking successors of [st] on symbol [s]; shared by the
-   hash-interned construction and the seed reference below. *)
+(* Legal ranking successors of [st] on symbol [s]. *)
 let ranking_successors (b : Buchi.t) (st : Ranking.t) s =
     let n = b.nstates in
     let dom = ref [] in
@@ -115,7 +113,7 @@ let ranking_successors (b : Buchi.t) (st : Ranking.t) s =
    [Rtable] (constant-time amortized lookup with a whole-structure hash)
    where the seed threaded every lookup through a [Map.Make] balanced tree
    keyed by [Stdlib.compare]. Breadth-first, so state numbering matches
-   the seed reference exactly. *)
+   the seed's exactly (the test oracle [Complement_ref] pins this). *)
 let rank_based ?(max_states = 200_000) (b : Buchi.t) =
   let sp = Obs.Span.enter "buchi.rank_complement" in
   let max_rank = max_rank_of b in
@@ -193,62 +191,3 @@ let rank_based ?(max_states = 200_000) (b : Buchi.t) =
       Obs.Span.attr sp "interner_hits" hits;
       Obs.Span.exit sp;
       result
-
-(* The seed's Map-interned construction, kept as the reference
-   implementation for property tests and bench baselines. Identical
-   exploration order, so it produces the same automaton as {!rank_based}. *)
-let rank_based_ref ?(max_states = 200_000) (b : Buchi.t) =
-  let max_rank = max_rank_of b in
-  let module S = Map.Make (Ranking) in
-  let interned = ref S.empty in
-  let states = ref [] in
-  let count = ref 0 in
-  let intern st =
-    match S.find_opt st !interned with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        if i >= max_states then
-          raise
-            (Too_large
-               (Printf.sprintf "rank-based complement exceeds %d states"
-                  max_states));
-        incr count;
-        interned := S.add st i !interned;
-        states := st :: !states;
-        i
-  in
-  let initial = initial_ranking b ~max_rank in
-  let transitions = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  let start = intern initial in
-  Queue.push initial queue;
-  while not (Queue.is_empty queue) do
-    let st = Queue.pop queue in
-    let i = S.find st !interned in
-    if not (Hashtbl.mem transitions i) then begin
-      let row =
-        Array.init b.alphabet (fun s ->
-            List.map
-              (fun st' ->
-                let fresh = not (S.mem st' !interned) in
-                let j = intern st' in
-                if fresh then Queue.push st' queue;
-                j)
-              (ranking_successors b st s)
-            |> List.sort_uniq Stdlib.compare)
-      in
-      Hashtbl.replace transitions i row
-    end
-  done;
-  let nstates = !count in
-  let all_states = Array.make nstates initial in
-  List.iter (fun st -> all_states.(S.find st !interned) <- st) !states;
-  let delta =
-    Array.init nstates (fun i ->
-        match Hashtbl.find_opt transitions i with
-        | Some row -> row
-        | None -> Array.make b.alphabet [])
-  in
-  let accepting = Array.init nstates (fun i -> all_states.(i).Ranking.o = []) in
-  Buchi.make ~alphabet:b.alphabet ~nstates ~start ~delta ~accepting

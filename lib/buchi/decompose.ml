@@ -70,8 +70,11 @@ let classification_to_string = function
   | Both -> "both (Sigma^omega)"
   | Neither -> "neither"
 
+module Span = Sl_obs.Obs.Span
+
 let is_liveness b =
-  Buchi.is_empty (Complement.complement_closed (Closure.bcl b))
+  Span.with_ "buchi.is_liveness" (fun () ->
+      Buchi.is_empty (Complement.complement_closed (Closure.bcl b)))
 
 let is_safety ?max_states b =
   (* L(B) ⊆ lcl L(B) always; safety iff the converse. *)
@@ -85,16 +88,19 @@ let classify ?max_states b =
   | false, false -> Neither
 
 let classify_via_negation b ~negation =
-  (* Sanity: a genuine complement is disjoint from the automaton. (The
-     converse inclusion cannot be checked cheaply; the caller vouches.) *)
-  if not (Buchi.is_empty (Ops.intersect b negation)) then
-    invalid_arg "Decompose.classify_via_negation: negation overlaps language";
-  let safety = Buchi.is_empty (Ops.intersect (Closure.bcl b) negation) in
-  match (safety, is_liveness b) with
-  | true, true -> Both
-  | true, false -> Safety
-  | false, true -> Liveness
-  | false, false -> Neither
+  Span.with_ "buchi.classify_via_negation" (fun () ->
+      (* Sanity: a genuine complement is disjoint from the automaton.
+         (The converse inclusion cannot be checked cheaply; the caller
+         vouches.) *)
+      if not (Buchi.is_empty (Ops.intersect b negation)) then
+        invalid_arg
+          "Decompose.classify_via_negation: negation overlaps language";
+      let safety = Buchi.is_empty (Ops.intersect (Closure.bcl b) negation) in
+      match (safety, is_liveness b) with
+      | true, true -> Both
+      | true, false -> Safety
+      | false, true -> Liveness
+      | false, false -> Neither)
 
 let language_lattice ~alphabet ?max_states () :
     (module Sl_core.Theory.COMPLEMENTED with type t = Buchi.t) =

@@ -45,11 +45,6 @@ val determinize : t -> Dfa.t
     {!Sl_core.Bitset} kernel with an explicit worklist, so each subset
     state is expanded exactly once. *)
 
-val determinize_ref : t -> Dfa.t
-(** The seed's quadratic subset construction, kept verbatim as the
-    reference implementation for property tests and bench baselines.
-    Language-equivalent to {!determinize} (state numbering may differ). *)
-
 val union : t -> t -> t
 val is_empty : t -> bool
 val language_equal : t -> t -> bool

@@ -4,13 +4,14 @@
     decimal symbol (letter index). Blank lines and ['#'] comments are
     skipped; malformed lines are reported with their 1-based line number
     and skipped. Events are delivered to the engine in reusable batched
-    chunks of parallel [int array]s.
+    chunks of parallel [int array]s. Symbols are strict decimal: digits
+    only (an optional ['-'] is recognized just to report ["negative
+    symbol"]) — [0x]/[0b] radix prefixes, ['_'] separators and a leading
+    ['+'] are malformed, unlike [int_of_string_opt].
 
-    Two parsers share these semantics byte for byte. {!parse_line} and
-    {!read} are the retained reference — a string per line and per
-    field. The zero-copy path ({!scan_line}, {!scanner}) walks raw read
-    blocks in place and allocates only on new trace ids and on the
-    error path; it is what [slc monitor] and the serve daemon run. *)
+    The parser ({!scan_line}, {!scanner}) walks raw read blocks in place
+    and allocates only on new trace ids and on the error path; it is
+    what [slc monitor] and the serve daemon run. *)
 
 type t
 (** The trace-id interner: string ids to the dense ints the engine
@@ -52,17 +53,6 @@ type error = {
 val error_to_string : error -> string
 (** ["line N (trace T): reason"] — the CLI's rendering. *)
 
-val parse_line :
-  string ->
-  [ `Event of string * int  (** trace id, nonnegative symbol *)
-  | `Skip  (** blank or comment *)
-  | `Malformed of string option * string
-    (** trace id (when recognizable) and reason *) ]
-(** The reference parser. Symbols are strict decimal: digits only (an
-    optional ['-'] is recognized just to report ["negative symbol"]) —
-    [0x]/[0b] radix prefixes, ['_'] separators and a leading ['+'] are
-    malformed, unlike [int_of_string_opt]. *)
-
 type chunk = {
   mutable len : int;
   trace_ids : int array;
@@ -90,10 +80,9 @@ val scan_line :
   | `Error of string option * string ]
 (** Scan one line given as the byte slice [[off, off+len)] — no
     trailing newline — entirely in place: the hot path (a known trace
-    id, a valid symbol) performs no allocation. Unlike {!parse_line}
-    this folds in the alphabet check and the interning; the error cases
-    are exactly the reference loop's, with the same reason strings, and
-    a rejected line never touches the interner. *)
+    id, a valid symbol) performs no allocation. The alphabet check comes
+    before the interning, so a rejected line never touches the
+    interner. *)
 
 val scan_event : t -> alphabet:int -> string -> int -> int -> int
 (** The allocation-free fast path over the same slice: accepts exactly
@@ -137,23 +126,4 @@ val scan_channel :
   ?chunk_size:int -> ?buf_size:int -> alphabet:int -> t -> in_channel ->
   on_chunk:(chunk -> unit) -> on_error:(error -> unit) -> unit
 (** Block-read the channel to EOF through a {!scanner} ([buf_size]
-    bytes per read, default 65536) — the [slc monitor] ingest path.
-    Event/error/interning behavior is byte-identical to {!read_channel}
-    on the same stream. *)
-
-(** {1 Reference reader} *)
-
-val read :
-  ?chunk_size:int -> alphabet:int -> t ->
-  next_line:(unit -> string option) -> on_chunk:(chunk -> unit) ->
-  on_error:(error -> unit) -> unit
-(** Pull lines until [next_line] returns [None], batching valid events
-    into chunks (default size 4096) and reporting malformed or
-    out-of-alphabet lines to [on_error] as structured {!error}
-    records. *)
-
-val read_channel :
-  ?chunk_size:int -> alphabet:int -> t -> in_channel ->
-  on_chunk:(chunk -> unit) -> on_error:(error -> unit) ->
-  unit
-(** {!read} over a channel ([stdin] or an opened trace file). *)
+    bytes per read, default 65536) — the [slc monitor] ingest path. *)

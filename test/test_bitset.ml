@@ -91,7 +91,7 @@ let prop_determinize_agrees_with_ref =
     QCheck.(pair (int_bound 100_000) (int_range 1 10))
     (fun (seed, n) ->
       let nfa = random_nfa seed n 0.25 in
-      Dfa.equivalent (Nfa.determinize nfa) (Nfa.determinize_ref nfa))
+      Dfa.equivalent (Nfa.determinize nfa) (Nfa_ref.determinize nfa))
 
 let prop_determinize_same_size =
   (* Both constructions reach exactly the same subset states, so the DFAs
@@ -102,7 +102,7 @@ let prop_determinize_same_size =
     (fun (seed, n) ->
       let nfa = random_nfa seed n 0.25 in
       (Nfa.determinize nfa).Dfa.nstates
-      = (Nfa.determinize_ref nfa).Dfa.nstates)
+      = (Nfa_ref.determinize nfa).Dfa.nstates)
 
 let small_lassos = Lasso.enumerate ~alphabet:2 ~max_prefix:2 ~max_cycle:2
 
@@ -116,7 +116,7 @@ let prop_intersect_agrees_with_full =
     (fun (s1, s2) ->
       let a = random_buchi s1 4 and b = random_buchi s2 5 in
       let on_the_fly = Ops.intersect a b in
-      let full = Ops.intersect_full a b in
+      let full = Ops_ref.intersect a b in
       List.for_all
         (fun w ->
           Buchi.accepts_lasso on_the_fly w = Buchi.accepts_lasso full w)
@@ -140,7 +140,7 @@ let prop_rank_based_agrees_with_ref =
     (fun seed ->
       let b = random_buchi seed 3 in
       let opt = Complement.rank_based b in
-      let reference = Complement.rank_based_ref b in
+      let reference = Complement_ref.rank_based b in
       (* Identical breadth-first exploration: the automata are equal
          structurally, not just language-equal. *)
       opt.Buchi.nstates = reference.Buchi.nstates

@@ -268,6 +268,33 @@ let test_disabled_noop () =
   check_int "handle registered while dark is live" 1
     (Obs.Metrics.counter_value c)
 
+(* The dark call sites allocate nothing: a counter bump plus a span
+   enter/exit pair, 10^5 times, integer-divided per iteration is 0 minor
+   words. *)
+let test_disabled_allocation () =
+  check "kernel starts dark" false (Obs.is_enabled ());
+  let c = Obs.Metrics.counter "test_dark_alloc_total" in
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    Obs.Metrics.incr c;
+    Obs.Span.exit (Obs.Span.enter "dark.alloc")
+  done;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  check_int
+    (Printf.sprintf "minor words per call pair (%d in total)" words)
+    0 (words / n)
+
+(* [slc classify] spends its time in the negation-based classification,
+   not in translation: it and its liveness check must show up as spans. *)
+let test_classify_spans () =
+  Obs.enable ();
+  ignore (Lexamples.classify Lexamples.p3);
+  let names = List.map (fun (name, _, _) -> name) (Obs.Span.aggregates ()) in
+  check "classify_via_negation span" true
+    (List.mem "buchi.classify_via_negation" names);
+  check "is_liveness span" true (List.mem "buchi.is_liveness" names)
+
 let test_disabled_identical_artifacts () =
   (* The Section 2.3 table rendered with the kernel dark and with it
      collecting must be byte-identical: telemetry is write-only. *)
@@ -365,5 +392,9 @@ let tests =
       (fresh test_disabled_noop);
     Alcotest.test_case "disabled-mode artifacts identical" `Quick
       (fresh test_disabled_identical_artifacts);
+    Alcotest.test_case "dark call sites allocate nothing" `Quick
+      (fresh test_disabled_allocation);
+    Alcotest.test_case "classify records its spans" `Quick
+      (fresh test_classify_spans);
     Alcotest.test_case "registry stats" `Quick (fresh test_registry_stats);
     QCheck_alcotest.to_alcotest prop_obs_does_not_change_results ]

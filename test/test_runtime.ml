@@ -214,46 +214,46 @@ let test_registry_malformed_lines () =
 (* --- Trace-line parser and chunked ingestion --- *)
 
 let test_parse_line () =
-  check "valid" true (Ingest.parse_line "t1 3" = `Event ("t1", 3));
+  check "valid" true (Ingest_ref.parse_line "t1 3" = `Event ("t1", 3));
   check "whitespace tolerated" true
-    (Ingest.parse_line "  t1 \t 0  " = `Event ("t1", 0));
-  check "blank skipped" true (Ingest.parse_line "   " = `Skip);
-  check "comment skipped" true (Ingest.parse_line "# hello" = `Skip);
+    (Ingest_ref.parse_line "  t1 \t 0  " = `Event ("t1", 0));
+  check "blank skipped" true (Ingest_ref.parse_line "   " = `Skip);
+  check "comment skipped" true (Ingest_ref.parse_line "# hello" = `Skip);
   check "missing symbol" true
-    (match Ingest.parse_line "t1" with `Malformed _ -> true | _ -> false);
+    (match Ingest_ref.parse_line "t1" with `Malformed _ -> true | _ -> false);
   check "non-integer symbol" true
-    (match Ingest.parse_line "t1 x" with `Malformed _ -> true | _ -> false);
+    (match Ingest_ref.parse_line "t1 x" with `Malformed _ -> true | _ -> false);
   check "extra fields" true
-    (match Ingest.parse_line "t1 1 2" with `Malformed _ -> true | _ -> false);
+    (match Ingest_ref.parse_line "t1 1 2" with `Malformed _ -> true | _ -> false);
   check "negative symbol" true
-    (match Ingest.parse_line "t1 -1" with `Malformed _ -> true | _ -> false);
+    (match Ingest_ref.parse_line "t1 -1" with `Malformed _ -> true | _ -> false);
   (* symbols are strict decimal: everything int_of_string_opt would
      additionally accept is a protocol error, with a structured reason *)
   check "hex radix prefix rejected" true
-    (Ingest.parse_line "t1 0x10"
+    (Ingest_ref.parse_line "t1 0x10"
     = `Malformed (Some "t1", "symbol \"0x10\" is not an integer"));
   check "binary radix prefix rejected" true
-    (Ingest.parse_line "t1 0b1"
+    (Ingest_ref.parse_line "t1 0b1"
     = `Malformed (Some "t1", "symbol \"0b1\" is not an integer"));
   check "underscore separator rejected" true
-    (Ingest.parse_line "t1 1_000"
+    (Ingest_ref.parse_line "t1 1_000"
     = `Malformed (Some "t1", "symbol \"1_000\" is not an integer"));
   check "leading plus rejected" true
-    (Ingest.parse_line "t1 +5"
+    (Ingest_ref.parse_line "t1 +5"
     = `Malformed (Some "t1", "symbol \"+5\" is not an integer"));
   check "overflow is garbage, not wraparound" true
-    (match Ingest.parse_line "t1 99999999999999999999" with
+    (match Ingest_ref.parse_line "t1 99999999999999999999" with
     | `Malformed (Some "t1", _) -> true
     | _ -> false);
   check "leading zeros are plain decimal" true
-    (Ingest.parse_line "t1 007" = `Event ("t1", 7))
+    (Ingest_ref.parse_line "t1 007" = `Event ("t1", 7))
 
 let drive_ingest ?(chunk_size = 3) ~alphabet lines =
   let ing = Ingest.create () in
   let remaining = ref lines in
   let events = ref [] in
   let errors = ref [] in
-  Ingest.read ~chunk_size ~alphabet ing
+  Ingest_ref.read ~chunk_size ~alphabet ing
     ~next_line:(fun () ->
       match !remaining with
       | [] -> None
@@ -383,6 +383,73 @@ let prop_scanner_equals_reference =
       done;
       !ok)
 
+(* --- Steady-state allocation ---
+
+   Allocation counts, not timings: the minor words a warm hot path
+   allocates, integer-divided per event, must be 0. *)
+
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+(* 100 properties from two parameterized safety families,
+   G (a -> X^k !a) and !a | X^k a for k in 1..6: 6 distinct monitors.
+   On the alternating trace the second family retires early and the
+   first stays live to the end. *)
+let fleet_registry () =
+  let rec xk n f = if n = 0 then f else xk (n - 1) (Formula.x f) in
+  let reg = Registry.create ~alphabet:2 () in
+  for i = 0 to 99 do
+    let k = 1 + (i mod 6) in
+    let a = Formula.prop "a" in
+    ignore
+      (Registry.add_formula reg
+         (if i mod 2 = 0 then Formula.(g (a ==> xk k (neg a)))
+          else Formula.(neg a ||| xk k a)))
+  done;
+  reg
+
+let test_engine_feed_allocation () =
+  let reg = fleet_registry () in
+  check_int "fleet props" 100 (Registry.nprops reg);
+  let eng = Engine.create ~monitors:(Registry.monitors reg) () in
+  let n = 10_000 in
+  let traces = Array.init n (fun i -> i mod 16) in
+  let symbols = Array.init n (fun i -> i land 1) in
+  let feed () = Engine.feed eng ~n ~traces ~symbols () in
+  (* the warm-up settles retirement and allocates the trace blocks *)
+  feed ();
+  let words = minor_words_during feed in
+  check_int
+    (Printf.sprintf "minor words per event (%d in total)" words)
+    0 (words / n)
+
+let test_scanner_allocation () =
+  let ing = Ingest.create () in
+  for i = 0 to 15 do
+    ignore (Ingest.intern ing (Printf.sprintf "t%d" i))
+  done;
+  let n = 10_000 in
+  let blob =
+    String.concat ""
+      (List.init n (fun i -> Printf.sprintf "t%d %d\n" (i mod 16) (i land 1)))
+  in
+  let events = ref 0 in
+  let on_chunk c = events := !events + c.Ingest.len in
+  let on_error e = Alcotest.fail (Ingest.error_to_string e) in
+  let words =
+    minor_words_during (fun () ->
+        let sc = Ingest.scanner ~alphabet:2 ing ~on_chunk ~on_error in
+        Ingest.scan_string sc blob 0 (String.length blob);
+        Ingest.scan_eof sc)
+  in
+  check_int "every line an event" n !events;
+  check_int "no new trace ids" 16 (Ingest.ntraces ing);
+  check_int
+    (Printf.sprintf "minor words per event (%d in total)" words)
+    0 (words / n)
+
 (* --- Fused transition megatable --- *)
 
 (* [Packed_dfa.fuse] is pure layout: every entry must decode to exactly
@@ -486,22 +553,18 @@ let test_end_to_end_report () =
   let eng = Engine.create ~monitors:(Registry.monitors reg) () in
   let ing, _, ingest_errors =
     let ing = Ingest.create () in
-    let remaining =
-      ref [ "t1 0"; "t2 1"; "t1 1"; "t2 0"; "t1 0"; "t1 0" ]
-    in
+    let stream = "t1 0\nt2 1\nt1 1\nt2 0\nt1 0\nt1 0\n" in
     let errors = ref [] in
-    Ingest.read ~chunk_size:2 ~alphabet:2 ing
-      ~next_line:(fun () ->
-        match !remaining with
-        | [] -> None
-        | l :: rest ->
-            remaining := rest;
-            Some l)
-      ~on_chunk:(fun c ->
-        Engine.feed eng ~n:c.Ingest.len ~traces:c.Ingest.trace_ids
-          ~symbols:c.Ingest.symbols ())
-      ~on_error:(fun e -> errors := (e.Ingest.e_line, e.Ingest.e_reason)
-                                    :: !errors);
+    let sc =
+      Ingest.scanner ~chunk_size:2 ~alphabet:2 ing
+        ~on_chunk:(fun c ->
+          Engine.feed eng ~n:c.Ingest.len ~traces:c.Ingest.trace_ids
+            ~symbols:c.Ingest.symbols ())
+        ~on_error:(fun e -> errors := (e.Ingest.e_line, e.Ingest.e_reason)
+                                      :: !errors)
+    in
+    Ingest.scan_string sc stream 0 (String.length stream);
+    Ingest.scan_eof sc;
     (ing, (), !errors)
   in
   check_int "no trace errors" 0 (List.length ingest_errors);
@@ -587,5 +650,9 @@ let tests =
     Alcotest.test_case "zero-copy scanner boundaries" `Quick
       test_scanner_boundaries;
     QCheck_alcotest.to_alcotest prop_scanner_equals_reference;
+    Alcotest.test_case "warm engine feed allocates nothing per event" `Quick
+      test_engine_feed_allocation;
+    Alcotest.test_case "warm scanner allocates nothing per event" `Quick
+      test_scanner_allocation;
     Alcotest.test_case "fused megatable layout" `Quick test_fuse_megatable;
     Alcotest.test_case "end-to-end report" `Quick test_end_to_end_report ]

@@ -417,21 +417,22 @@ let test_ingest_chunk_boundary () =
     else if i = 8193 then "t1 notanint"
     else Printf.sprintf "t%d %d" (i mod 5) (i mod 2)
   in
-  let next =
-    let i = ref 0 in
-    fun () ->
-      incr i;
-      if !i > total then None else Some (line !i)
+  let stream =
+    String.concat "" (List.init total (fun i -> line (i + 1) ^ "\n"))
   in
   let ingest = Ingest.create () in
   let errors = ref [] in
   let chunk_sizes = ref [] in
   let events = ref 0 in
-  Ingest.read ~alphabet:2 ingest ~next_line:next
-    ~on_chunk:(fun c ->
-      chunk_sizes := c.Ingest.len :: !chunk_sizes;
-      events := !events + c.Ingest.len)
-    ~on_error:(fun e -> errors := e.Ingest.e_line :: !errors);
+  let sc =
+    Ingest.scanner ~alphabet:2 ingest
+      ~on_chunk:(fun c ->
+        chunk_sizes := c.Ingest.len :: !chunk_sizes;
+        events := !events + c.Ingest.len)
+      ~on_error:(fun e -> errors := e.Ingest.e_line :: !errors)
+  in
+  Ingest.scan_string sc stream 0 (String.length stream);
+  Ingest.scan_eof sc;
   check "malformed lines reported with exact line numbers" true
     (List.rev !errors = malformed);
   check_int "every well-formed line became an event" (total - 3) !events;
@@ -445,17 +446,16 @@ let test_ingest_chunk_boundary () =
 let test_interner_roundtrip_through_codec () =
   let registry = Lazy.force registry in
   let s = Session.create ~registry () in
-  let lines = [ "zeta 0"; "alpha 1"; "zeta 1"; "mid 0"; "alpha 0" ] in
-  let next =
-    let rest = ref lines in
-    fun () ->
-      match !rest with [] -> None | l :: tl -> rest := tl; Some l
+  let stream = "zeta 0\nalpha 1\nzeta 1\nmid 0\nalpha 0\n" in
+  let sc =
+    Ingest.scanner ~alphabet:2 (Session.ingest s)
+      ~on_chunk:(fun c ->
+        Engine.feed (Session.engine s) ~n:c.Ingest.len
+          ~traces:c.Ingest.trace_ids ~symbols:c.Ingest.symbols ())
+      ~on_error:(fun _ -> Alcotest.fail "unexpected ingest error")
   in
-  Ingest.read ~alphabet:2 (Session.ingest s) ~next_line:next
-    ~on_chunk:(fun c ->
-      Engine.feed (Session.engine s) ~n:c.Ingest.len ~traces:c.Ingest.trace_ids
-        ~symbols:c.Ingest.symbols ())
-    ~on_error:(fun _ -> Alcotest.fail "unexpected ingest error");
+  Ingest.scan_string sc stream 0 (String.length stream);
+  Ingest.scan_eof sc;
   match Session.of_artifact ~registry (Session.to_artifact s) with
   | Error e -> Alcotest.fail (Session.restore_error_to_string e)
   | Ok s' ->
